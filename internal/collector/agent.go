@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bufio"
 	"fmt"
 	"math/rand"
 	"net"
@@ -122,6 +123,15 @@ type AgentConfig struct {
 	// (default 500 ms).
 	StallTimeout time.Duration
 }
+
+// Session buffer sizes. The sink's acks are small and coalesced, so the
+// ack reader needs little buffer; a send burst goes out in writes of up to
+// agentWriteChunk bytes, each under its own IOTimeout deadline, which bounds
+// both the session's write buffer and the bytes one deadline must cover.
+const (
+	agentReadBuffer = 4 << 10
+	agentWriteChunk = 64 << 10
+)
 
 // bufEntry is one unacknowledged batch: the decoded form plus, when the
 // spill log is enabled, the exact encoded frame (encoded once at Ingest so
@@ -531,8 +541,9 @@ func (a *Agent) session(conn net.Conn) bool {
 	if err := writeControl(conn, frameHello, hello); err != nil {
 		return false
 	}
+	br := bufio.NewReaderSize(conn, agentReadBuffer)
 	conn.SetReadDeadline(time.Now().Add(a.cfg.HelloTimeout))
-	fr, err := ReadFrame(conn)
+	fr, err := ReadFrame(br)
 	if err != nil {
 		return false
 	}
@@ -557,44 +568,65 @@ func (a *Agent) session(conn net.Conn) bool {
 
 	readerDone := make(chan struct{})
 	a.wg.Add(1)
-	go a.reader(conn, readerDone)
+	go a.reader(br, readerDone)
 
 	ticker := time.NewTicker(a.cfg.StallTimeout / 2)
 	defer ticker.Stop()
 	doneSent := false
+	// A send burst is assembled in wbuf (reused across bursts) and written
+	// in as few writes as agentWriteChunk allows.
+	var wbuf []byte
+	write := func() bool {
+		if len(wbuf) == 0 {
+			return true
+		}
+		conn.SetWriteDeadline(time.Now().Add(a.cfg.IOTimeout))
+		_, err := conn.Write(wbuf)
+		wbuf = wbuf[:0]
+		return err == nil
+	}
 	for {
 		entries, done := a.collect(&doneSent)
 		for _, e := range entries {
 			raw := e.raw
-			if raw == nil {
-				raw, err = encodeBatchFrame(e.b, a.cfg.Codec)
-				if err != nil {
+			if raw == nil && a.inj == nil {
+				// Nothing holds on to the frame: encode it in place.
+				if wbuf, err = appendBatchFrame(wbuf, e.b, a.cfg.Codec); err != nil {
 					a.fatal(err)
 					return true
 				}
-			}
-			outs, delay := a.inj.apply(raw)
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			for _, o := range outs {
-				conn.SetWriteDeadline(time.Now().Add(a.cfg.IOTimeout))
-				if _, err := conn.Write(o); err != nil {
-					return true
+			} else {
+				if raw == nil {
+					if raw, err = encodeBatchFrame(e.b, a.cfg.Codec); err != nil {
+						a.fatal(err)
+						return true
+					}
 				}
+				outs, delay := a.inj.apply(raw)
+				if delay > 0 {
+					// The delay falls between this frame and the ones
+					// before it, which go on the wire first.
+					if !write() {
+						return true
+					}
+					time.Sleep(delay)
+				}
+				for _, o := range outs {
+					wbuf = append(wbuf, o...)
+				}
+			}
+			if len(wbuf) >= agentWriteChunk && !write() {
+				return true
 			}
 		}
 		if done != nil {
-			if h := a.inj.flush(); h != nil {
-				conn.SetWriteDeadline(time.Now().Add(a.cfg.IOTimeout))
-				if _, err := conn.Write(h); err != nil {
-					return true
-				}
-			}
-			conn.SetWriteDeadline(time.Now().Add(a.cfg.IOTimeout))
-			if err := writeControl(conn, frameDone, done); err != nil {
+			wbuf = append(wbuf, a.inj.flush()...)
+			if wbuf, err = appendControl(wbuf, frameDone, done); err != nil {
 				return true
 			}
+		}
+		if !write() {
+			return true
 		}
 		select {
 		case <-a.work:
@@ -662,7 +694,12 @@ func (a *Agent) pruneLocked(st *agentStream, acked uint64) {
 			freed += walRecordSize(len(e.raw))
 		}
 	}
-	st.buf = st.buf[:copy(st.buf, st.buf[drop:])]
+	// Reslice past the acknowledged prefix instead of shifting the backlog
+	// down, so a prune costs O(dropped) however long the backlog is; append
+	// moves the live entries to a fresh array once the tail capacity runs
+	// out. Cleared entries stop pinning their batches and frames.
+	clear(st.buf[:drop])
+	st.buf = st.buf[drop:]
 	st.acked = acked
 	if st.sentUpTo < st.acked {
 		st.sentUpTo = st.acked
@@ -757,11 +794,11 @@ func (a *Agent) maybeStallReset() {
 }
 
 // reader consumes the sink's acknowledgements and the final Fin.
-func (a *Agent) reader(conn net.Conn, done chan struct{}) {
+func (a *Agent) reader(br *bufio.Reader, done chan struct{}) {
 	defer a.wg.Done()
 	defer close(done)
 	for {
-		fr, err := ReadFrame(conn)
+		fr, err := ReadFrame(br)
 		if err != nil {
 			return
 		}

@@ -109,6 +109,18 @@ const maxBatchBytes = 64 << 20
 // collection plane's profile.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
+// maxPooledBuf is the largest buffer returned to bufPool: a rare large frame
+// (a scatternet partial, a month-scale drain) is left to the collector
+// rather than pinned in the pool.
+const maxPooledBuf = 64 << 10
+
+// putBuf returns a buffer to bufPool unless it grew past maxPooledBuf.
+func putBuf(bufp *[]byte) {
+	if cap(*bufp) <= maxPooledBuf {
+		bufPool.Put(bufp)
+	}
+}
+
 // WriteBatch frames and writes one batch with the default (binary) codec.
 func WriteBatch(w io.Writer, b *Batch) error {
 	return WriteBatchCodec(w, b, CodecBinary)
@@ -119,63 +131,53 @@ func WriteBatch(w io.Writer, b *Batch) error {
 // one Write from a pooled buffer.
 func WriteBatchCodec(w io.Writer, b *Batch, codec Codec) error {
 	bufp := bufPool.Get().(*[]byte)
-	defer bufPool.Put(bufp)
-	frame := (*bufp)[:0]
-	frame = append(frame, 0, 0, 0, 0, byte(codec)) // header backfilled below
-
-	var err error
-	switch codec {
-	case CodecBinary:
-		frame = appendBinaryBatch(frame, b)
-	case CodecJSON:
-		var blob []byte
-		if blob, err = json.Marshal(b); err != nil {
-			return fmt.Errorf("collector: marshal batch: %w", err)
-		}
-		frame = append(frame, blob...)
-	default:
-		return fmt.Errorf("collector: unknown codec %d", codec)
+	defer putBuf(bufp)
+	frame, err := appendBatchFrame((*bufp)[:0], b, codec)
+	if err != nil {
+		return err
 	}
-	n := len(frame) - 4 // codec byte + payload
-	if n > maxBatchBytes {
-		return fmt.Errorf("collector: batch of %d bytes exceeds limit", n)
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(n))
+	*bufp = frame[:0]
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("collector: write frame: %w", err)
 	}
-	*bufp = frame[:0]
 	return nil
+}
+
+// appendBatchFrame appends one complete data frame — length prefix, codec
+// tag, payload — to dst.
+func appendBatchFrame(dst []byte, b *Batch, codec Codec) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, byte(codec)) // length backfilled below
+	switch codec {
+	case CodecBinary:
+		dst = appendBinaryBatch(dst, b)
+	case CodecJSON:
+		blob, err := json.Marshal(b)
+		if err != nil {
+			return dst[:start], fmt.Errorf("collector: marshal batch: %w", err)
+		}
+		dst = append(dst, blob...)
+	default:
+		return dst[:start], fmt.Errorf("collector: unknown codec %d", codec)
+	}
+	n := len(dst) - start - 4 // codec byte + payload
+	if n > maxBatchBytes {
+		return dst[:start], fmt.Errorf("collector: batch of %d bytes exceeds limit", n)
+	}
+	binary.BigEndian.PutUint32(dst[start:start+4], uint32(n))
+	return dst, nil
 }
 
 // ReadBatch reads one framed batch, dispatching on its codec tag. io.EOF is
 // returned unchanged when the stream ends cleanly between frames.
 func ReadBatch(r io.Reader) (*Batch, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("collector: read frame header: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n == 0 || n > maxBatchBytes {
-		return nil, fmt.Errorf("collector: implausible frame length %d", n)
-	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
-		return nil, fmt.Errorf("collector: read codec tag: %w", err)
-	}
 	bufp := bufPool.Get().(*[]byte)
-	defer bufPool.Put(bufp)
-	if cap(*bufp) < int(n)-1 {
-		*bufp = make([]byte, 0, int(n)-1)
+	defer putBuf(bufp)
+	kind, blob, err := readFrameBody(r, bufp)
+	if err != nil {
+		return nil, err
 	}
-	blob := (*bufp)[:int(n)-1]
-	if _, err := io.ReadFull(r, blob); err != nil {
-		return nil, fmt.Errorf("collector: read frame body: %w", err)
-	}
-	defer func() { *bufp = blob[:0] }()
-	switch Codec(hdr[4]) {
+	switch Codec(kind) {
 	case CodecBinary:
 		return decodeBinaryBatch(blob)
 	case CodecJSON:
@@ -185,8 +187,37 @@ func ReadBatch(r io.Reader) (*Batch, error) {
 		}
 		return &b, nil
 	default:
-		return nil, fmt.Errorf("collector: unknown frame codec %d", hdr[4])
+		return nil, fmt.Errorf("collector: unknown frame codec %d", kind)
 	}
+}
+
+// readFrameBody reads one frame — length prefix, kind byte, body — and
+// returns the kind byte and the body, which lives in *bufp (grown as
+// needed) and is valid until the buffer's next use. io.EOF is returned
+// unchanged when the stream ends cleanly between frames.
+func readFrameBody(r io.Reader, bufp *[]byte) (kind byte, body []byte, err error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		if err == io.EOF {
+			return 0, nil, io.EOF
+		}
+		return 0, nil, fmt.Errorf("collector: read frame header: %w", err)
+	}
+	n := binary.BigEndian.Uint32(hdr[:4])
+	if n == 0 || n > maxBatchBytes {
+		return 0, nil, fmt.Errorf("collector: implausible frame length %d", n)
+	}
+	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
+		return 0, nil, fmt.Errorf("collector: read frame kind: %w", err)
+	}
+	if cap(*bufp) < int(n)-1 {
+		*bufp = make([]byte, 0, int(n)-1)
+	}
+	body = (*bufp)[:int(n)-1]
+	if _, err := io.ReadFull(r, body); err != nil {
+		return 0, nil, fmt.Errorf("collector: read frame body: %w", err)
+	}
+	return hdr[4], body, nil
 }
 
 // The binary payload layout (version 2):

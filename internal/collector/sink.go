@@ -1,11 +1,13 @@
 package collector
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -187,6 +189,29 @@ type sinkSession struct {
 	conn    net.Conn
 	timeout time.Duration
 	wmu     sync.Mutex
+	acks    ackBurst // record-plane sessions only; guarded by wmu
+}
+
+// Record-plane session tuning. The sink reads frames through a
+// sinkReadBuffer-byte buffer and coalesces acknowledgements: a data frame
+// only marks its stream as owed an Ack, and the owed acks go out together —
+// one cumulative Ack per stream — before the next read that would block,
+// after at most ackBurstMax frames, after the first frame that ends
+// ackBurstWait or more after the oldest owed ack (slow frames: checkpoints,
+// backpressure), before a Done is handled and before Fin. Acks are
+// cumulative (PROTOCOL.md §6), so an agent cannot tell a coalesced ack from
+// the last of a run of per-frame ones.
+const (
+	sinkReadBuffer = 32 << 10
+	ackBurstMax    = 64
+	ackBurstWait   = 5 * time.Millisecond
+)
+
+// ackBurst is a record-plane session's owed acknowledgements.
+type ackBurst struct {
+	owed   []skey    // streams owed an Ack, in first-owed order
+	frames int       // data frames read since the last flush
+	since  time.Time // when the oldest owed ack was owed
 }
 
 // send writes one control frame to the session's connection.
@@ -444,6 +469,56 @@ func (s *Sink) acceptLoop() {
 	}
 }
 
+// flushAcks writes the session's owed acknowledgements in one write.
+func (s *Sink) flushAcks(t *tenant, sess *sinkSession) error {
+	sess.wmu.Lock()
+	defer sess.wmu.Unlock()
+	return s.flushAcksLocked(t, sess)
+}
+
+// flushAcksLocked writes one Ack per owed stream, its cursor read from what
+// the keyspace may acknowledge now (so a checkpointing sink acks only what
+// its latest checkpoint covers). Caller holds sess.wmu; the lock order is
+// wmu before Sink.mu, and no path takes a wmu while holding Sink.mu.
+func (s *Sink) flushAcksLocked(t *tenant, sess *sinkSession) error {
+	b := &sess.acks
+	b.frames = 0
+	if len(b.owed) == 0 {
+		return nil
+	}
+	acks := make([]Ack, len(b.owed))
+	s.mu.Lock()
+	for i, key := range b.owed {
+		cur := t.ackable[key]
+		acks[i] = Ack{Node: key.node, Seq: cur.Seq, Watermark: cur.Watermark}
+	}
+	s.mu.Unlock()
+	b.owed = b.owed[:0]
+	var buf []byte
+	for i := range acks {
+		var err error
+		if buf, err = appendControl(buf, frameAck, &acks[i]); err != nil {
+			return err
+		}
+	}
+	sess.conn.SetWriteDeadline(time.Now().Add(sess.timeout))
+	if _, err := sess.conn.Write(buf); err != nil {
+		return fmt.Errorf("collector: write control frame: %w", err)
+	}
+	return nil
+}
+
+// sendFin releases a record-plane session's agent, after its owed acks.
+func (s *Sink) sendFin(t *tenant, sess *sinkSession) error {
+	sess.wmu.Lock()
+	defer sess.wmu.Unlock()
+	if err := s.flushAcksLocked(t, sess); err != nil {
+		return err
+	}
+	sess.conn.SetWriteDeadline(time.Now().Add(sess.timeout))
+	return writeControl(sess.conn, frameFin, &Fin{})
+}
+
 // rejectHello refuses a handshake with a typed reason.
 func (s *Sink) rejectHello(conn net.Conn, code, format string, args ...any) {
 	s.mu.Lock()
@@ -509,12 +584,26 @@ func (s *Sink) serve(conn net.Conn) {
 		res.Cursors = append(res.Cursors, t.ackable[skey{hello.Testbed, node}])
 	}
 	s.mu.Unlock()
+	defer func() {
+		// A finished session must not stay reachable from its keyspace (its
+		// connection and buffers would live as long as the sink); a newer
+		// session of the same testbed has already replaced the entry.
+		s.mu.Lock()
+		if t.sessions[hello.Testbed] == sess {
+			delete(t.sessions, hello.Testbed)
+		}
+		s.mu.Unlock()
+	}()
 	if err := sess.send(frameResume, &res); err != nil {
 		return
 	}
 
+	br := bufio.NewReaderSize(conn, sinkReadBuffer)
 	for {
-		fr, err := ReadFrame(conn)
+		if !frameBuffered(br) && s.flushAcks(t, sess) != nil {
+			return
+		}
+		fr, err := ReadFrame(br)
 		if err != nil {
 			return
 		}
@@ -524,6 +613,9 @@ func (s *Sink) serve(conn net.Conn) {
 				return
 			}
 		case KindDone:
+			if s.flushAcks(t, sess) != nil {
+				return
+			}
 			s.handleDone(t, fr.Done)
 		default:
 			return // protocol violation
@@ -531,8 +623,9 @@ func (s *Sink) serve(conn net.Conn) {
 	}
 }
 
-// handleBatch applies one data frame to the session's keyspace and
-// acknowledges the stream's durable cursor. It reports whether the session
+// handleBatch applies one data frame to the session's keyspace and owes
+// the stream an acknowledgement of its durable cursor (flushed at once
+// when the session's ack burst is full). It reports whether the session
 // should continue.
 func (s *Sink) handleBatch(t *tenant, sess *sinkSession, b *Batch, wireBytes int) bool {
 	key := skey{b.Testbed, b.Node}
@@ -567,9 +660,8 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, b *Batch, wireBytes int
 	if t.finished[b.Testbed] || t.agg != nil {
 		// Late retransmission after completion: everything is durable
 		// already, just re-acknowledge.
-		cur := t.ackable[key]
 		s.mu.Unlock()
-		return sess.send(frameAck, &Ack{Node: b.Node, Seq: cur.Seq, Watermark: cur.Watermark}) == nil
+		return s.oweAck(t, sess, key)
 	}
 	s.mu.Unlock()
 
@@ -607,18 +699,38 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, b *Batch, wireBytes int
 			return false
 		}
 	}
-	cur := t.ackable[key]
 	s.mu.Unlock()
 	s.backpressure()
-	ok := sess.send(frameAck, &Ack{Node: b.Node, Seq: cur.Seq, Watermark: cur.Watermark}) == nil
+	ok := s.oweAck(t, sess, key)
 	s.checkCompletion(t)
 	return ok
 }
 
-// backpressure delays the pending acknowledgement while the sink is over its
-// memory budget. Acks gate the agents' send windows, and frames on one
-// session are processed serially, so a delayed ack directly slows the fleet
-// down to what the sink absorbs.
+// oweAck owes a stream an acknowledgement on the session and flushes the
+// burst once it is due: ackBurstMax frames read, or ackBurstWait passed,
+// since the last flush. It reports whether the session should continue.
+func (s *Sink) oweAck(t *tenant, sess *sinkSession, key skey) bool {
+	sess.wmu.Lock()
+	defer sess.wmu.Unlock()
+	b := &sess.acks
+	now := time.Now()
+	if b.frames == 0 {
+		b.since = now
+	}
+	b.frames++
+	if !slices.Contains(b.owed, key) {
+		b.owed = append(b.owed, key)
+	}
+	if b.frames < ackBurstMax && now.Sub(b.since) < ackBurstWait {
+		return true
+	}
+	return s.flushAcksLocked(t, sess) == nil
+}
+
+// backpressure delays the session's next read, and with it the pending
+// acknowledgement, while the sink is over its memory budget. Acks gate the
+// agents' send windows, and frames on one session are processed serially,
+// so a delayed ack directly slows the fleet down to what the sink absorbs.
 func (s *Sink) backpressure() {
 	if s.cfg.MemoryBudget <= 0 {
 		return
@@ -658,7 +770,7 @@ func (s *Sink) handleDone(t *tenant, d *Done) {
 		sess := t.sessions[d.Testbed]
 		s.mu.Unlock()
 		if sess != nil {
-			sess.send(frameFin, &Fin{})
+			s.sendFin(t, sess)
 		}
 		return
 	}
@@ -751,7 +863,7 @@ func (s *Sink) checkCompletion(t *tenant) {
 	}
 	s.mu.Unlock()
 	for _, sess := range fins {
-		sess.send(frameFin, &Fin{})
+		s.sendFin(t, sess)
 	}
 	if complete {
 		close(t.done)

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -24,9 +25,9 @@ import (
 // releases it with Fin once everything is durable.
 
 // Frame kinds beyond the data codec tags. Control payloads are JSON: they
-// are rare (one Hello/Resume/Done/Fin per session, one small Ack per applied
-// batch), and a debuggable handshake beats saving bytes there — the hot
-// path, record batches, stays on the binary codec.
+// are rare (one Hello/Resume/Done/Fin per session, one small cumulative Ack
+// per stream per read burst), and a debuggable handshake beats saving bytes
+// there — the hot path, record batches, stays on the binary codec.
 const (
 	frameHello   byte = 2
 	frameResume  byte = 3
@@ -189,47 +190,57 @@ type Frame struct {
 
 // writeControl frames and writes one control payload (kind byte + JSON).
 func writeControl(w io.Writer, kind byte, payload any) error {
-	blob, err := json.Marshal(payload)
+	frame, err := appendControl(nil, kind, payload)
 	if err != nil {
-		return fmt.Errorf("collector: marshal control frame %d: %w", kind, err)
+		return err
 	}
-	frame := make([]byte, 5, 5+len(blob))
-	binary.BigEndian.PutUint32(frame[:4], uint32(1+len(blob)))
-	frame[4] = kind
-	frame = append(frame, blob...)
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("collector: write control frame: %w", err)
 	}
 	return nil
 }
 
+// appendControl appends one framed control payload (kind byte + JSON) to
+// dst.
+func appendControl(dst []byte, kind byte, payload any) ([]byte, error) {
+	blob, err := json.Marshal(payload)
+	if err != nil {
+		return dst, fmt.Errorf("collector: marshal control frame %d: %w", kind, err)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(1+len(blob)))
+	dst = append(dst, kind)
+	return append(dst, blob...), nil
+}
+
 // ReadFrame reads one frame of any kind, dispatching on the kind byte. io.EOF
-// is returned unchanged when the stream ends cleanly between frames.
+// is returned unchanged when the stream ends cleanly between frames. Session
+// loops hand it a bufio.Reader, so a burst of small frames costs one read
+// syscall, not three per frame.
 func ReadFrame(r io.Reader) (*Frame, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("collector: read frame header: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n == 0 || n > maxBatchBytes {
-		return nil, fmt.Errorf("collector: implausible frame length %d", n)
-	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
-		return nil, fmt.Errorf("collector: read frame kind: %w", err)
-	}
-	blob := make([]byte, int(n)-1)
-	if _, err := io.ReadFull(r, blob); err != nil {
-		return nil, fmt.Errorf("collector: read frame body: %w", err)
-	}
-	fr, err := decodeFrame(hdr[4], blob)
+	bufp := bufPool.Get().(*[]byte)
+	defer putBuf(bufp)
+	kind, blob, err := readFrameBody(r, bufp)
 	if err != nil {
 		return nil, err
 	}
-	fr.WireBytes = 4 + int(n)
+	// Every decoder below copies what it keeps, so the pooled body can be
+	// reused once it returns.
+	fr, err := decodeFrame(kind, blob)
+	if err != nil {
+		return nil, err
+	}
+	fr.WireBytes = 5 + len(blob)
 	return fr, nil
+}
+
+// frameBuffered reports whether br already holds the whole next frame, so
+// that reading it cannot block on the connection.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false // Peek would fill from the connection
+	}
+	hdr, _ := br.Peek(4)
+	return br.Buffered() >= 4+int(binary.BigEndian.Uint32(hdr))
 }
 
 // decodeFrame decodes one frame body by kind byte.
@@ -291,29 +302,21 @@ func decodeFrame(kind byte, blob []byte) (*Frame, error) {
 }
 
 // encodeBatchFrame renders a complete data frame (length prefix + codec tag
-// + payload) into a fresh buffer, so the fault injector can hold, duplicate
-// or drop whole frames.
+// + payload) into a fresh buffer of exactly the frame's size: the spill log
+// keeps one per unacknowledged batch (and accounts its budget by the
+// frame's length), and the fault injector holds, duplicates or drops whole
+// frames.
 func encodeBatchFrame(b *Batch, codec Codec) ([]byte, error) {
-	frame := make([]byte, 5, 4096)
-	frame[4] = byte(codec)
-	switch codec {
-	case CodecBinary:
-		frame = appendBinaryBatch(frame, b)
-	case CodecJSON:
-		blob, err := json.Marshal(b)
-		if err != nil {
-			return nil, fmt.Errorf("collector: marshal batch: %w", err)
-		}
-		frame = append(frame, blob...)
-	default:
-		return nil, fmt.Errorf("collector: unknown codec %d", codec)
+	bufp := bufPool.Get().(*[]byte)
+	defer putBuf(bufp)
+	frame, err := appendBatchFrame((*bufp)[:0], b, codec)
+	if err != nil {
+		return nil, err
 	}
-	n := len(frame) - 4
-	if n > maxBatchBytes {
-		return nil, fmt.Errorf("collector: batch of %d bytes exceeds limit", n)
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(n))
-	return frame, nil
+	*bufp = frame[:0]
+	out := make([]byte, len(frame))
+	copy(out, frame)
+	return out, nil
 }
 
 // FaultConfig injects deterministic, seeded faults into an agent's outgoing
